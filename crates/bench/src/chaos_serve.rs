@@ -368,15 +368,22 @@ fn dump_storm() -> Result<ServeChaosOutcome, String> {
         ..ServerConfig::default()
     };
     let (handle, addr) = spawn_server(config)?;
-    // the blocker occupies the single worker for the whole storm; its
-    // client hangs up without reading (the daemon tolerates ghosts)
-    let mut blocker = connect(&addr)?;
-    blocker
-        .write_all(
-            b"{\"id\":\"blocker\",\"kind\":\"simulate\",\"device\":\"q5\",\"policy\":\"vqm\",\
-              \"benchmark\":\"ghz:3\",\"trials\":50000000,\"seed\":1}\n",
-        )
-        .map_err(|e| format!("send blocker: {e}"))?;
+    // the blocker occupies the single worker for the whole storm. The
+    // storm audits are one identical job, so if the first of them ran
+    // before the blocker, every later one would be a cache hit and no
+    // deadline could fire: wait for the blocker's first progress frame,
+    // which proves the worker is busy. Its client then hangs up without
+    // reading the rest (the daemon tolerates ghosts).
+    let (mut blocker, mut blocker_reader) = open(&addr)?;
+    let first = roundtrip(
+        &mut blocker,
+        &mut blocker_reader,
+        "{\"id\":\"blocker\",\"kind\":\"simulate\",\"device\":\"q5\",\"policy\":\"vqm\",\
+         \"benchmark\":\"ghz:3\",\"trials\":50000000,\"seed\":1,\"progress\":true}",
+    )?;
+    if !first.contains("\"event\":\"progress\"") {
+        return Err(format!("blocker answered before the storm: {first}"));
+    }
     let (mut stream, mut reader) = open(&addr)?;
     let mut deadline_hits = 0u64;
     for i in 0..24 {
@@ -393,7 +400,7 @@ fn dump_storm() -> Result<ServeChaosOutcome, String> {
         inspect_dump_dir(&dump_dir, total_cap),
     ];
     drop((stream, reader));
-    drop(blocker);
+    drop((blocker, blocker_reader));
     let outcome = finish("dump-storm", fault_responses, handle, &addr);
     let _ = std::fs::remove_dir_all(&dump_dir);
     outcome

@@ -399,9 +399,42 @@ pub fn schema_summary(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// Escapes a string for embedding in a JSON string literal (the caller
+/// writes the surrounding quotes): quotes, backslashes and control
+/// characters. The one escaper behind every hand-built JSON line in the
+/// workspace.
+pub fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escapes_strings() {
+        assert_eq!(
+            json_escape("a \"quoted\"\nline\\path"),
+            "a \\\"quoted\\\"\\nline\\\\path"
+        );
+        assert_eq!(json_escape("tab\tcr\r\u{1}é"), "tab\\tcr\\r\\u0001é");
+        let doc = parse_json(&format!("\"{}\"", json_escape("q\"\\\n\u{1f}x"))).unwrap();
+        assert_eq!(doc.as_str(), Some("q\"\\\n\u{1f}x"), "escapes must round-trip");
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

@@ -32,6 +32,7 @@
 //! frames carry `event`, never `status`, so a client matching on
 //! `status` skips them safely; the id keys them to their job.
 
+pub use quva_obs::json_escape;
 use quva_obs::parse_json;
 
 /// Upper bound on an accepted request line. Longer frames are rejected
@@ -277,23 +278,6 @@ pub fn progress_frame(id: &str, done: u64, total: u64) -> String {
         "{{\"id\":\"{}\",\"event\":\"progress\",\"done\":{done},\"total\":{total}}}",
         json_escape(id)
     )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One response line (without the trailing newline).

@@ -70,7 +70,7 @@
 //!
 //! [`McEngine`]: crate::engine::McEngine
 
-use crate::engine::splitmix;
+use crate::engine::{splitmix, Tally, Tracer};
 use crate::profile::{EventClass, FailureProfile};
 
 /// Trials per lane-word.
@@ -286,82 +286,17 @@ impl Default for Scratch {
 /// no complement rows exist, `inv` is zero in every expression the
 /// general path evaluates.
 #[inline]
-fn sweep<const HAS_INV: bool>(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
-    let mut fail = 0u64;
-    for (blk, rows) in table.rows.chunks(BLOCK).enumerate() {
-        let base_e = (blk * BLOCK) as u64;
-        let mut idx = 0usize;
-        let mut se = wb.wrapping_add(GOLDEN.wrapping_mul(base_e));
-        for (er, row) in rows.iter().enumerate() {
-            se = se.wrapping_add(GOLDEN);
-            let r = splitmix(se);
-            let j = ((r >> 6) & 63) as usize;
-            let frac = (r >> 12) as u32 & FRAC_MASK;
-            let cell = row[j];
-            let m = if frac < cell & FRAC_MASK {
-                j as u32
-            } else {
-                (cell >> FRAC_BITS) & 63
-            };
-            let inv = if HAS_INV { cell >> 31 } else { 0 };
-            fail |= (1u64 << (r & 63)) & 0u64.wrapping_sub(u64::from(m == 1 && inv == 0));
-            scratch.r[idx & (BLOCK - 1)] = r;
-            scratch.ek[idx & (BLOCK - 1)] = inv << 16 | (er as u32) << 8 | m;
-            idx += usize::from(m >= 2 || inv != 0);
-        }
-        for (&r, &ek) in scratch.r.iter().zip(&scratch.ek).take(idx) {
-            let e = base_e + u64::from((ek >> 8) & 0xFF);
-            let placed = place(r, (ek & 0xFF) as usize, wb, e);
-            fail |= if HAS_INV {
-                placed ^ 0u64.wrapping_sub(u64::from(ek >> 16))
-            } else {
-                placed
-            };
-        }
-    }
-    fail
-}
-
-/// The failure mask of global word `wb`: bit `l` set iff lane `l`'s
-/// trial aborted at some event. Pure in `(table, wb)`.
-///
-/// Two phases per block: a branchless alias sweep that resolves `m`
-/// per row (merging the ubiquitous direct-form `m == 1` case
-/// immediately and compacting the rest of the fires into the scratch
-/// buffers), then placement of the compacted fires only.
-/// Complement-form rows are always buffered — even at `m = 0`, where
-/// the inverted empty mask fails the whole word.
-#[inline]
-pub(crate) fn word_failures(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
-    if table.any_inv {
-        sweep::<true>(table, wb, scratch)
-    } else {
-        sweep::<false>(table, wb, scratch)
-    }
-}
-
-/// Per-chunk tallies of the traced bit-parallel path, merged into
-/// `sim.*` counters once per worker.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct BpTrace {
-    /// Aborted trials per [`EventClass::index`].
-    pub aborts: [u64; 5],
-    /// Lane-words processed (partial edge words count once each).
-    pub words: u64,
-    /// Fused rows that fired (`m ≥ 1`, or any complement-form row)
-    /// across all processed words.
-    pub fires: u64,
-}
-
-/// The traced twin of [`sweep`]; see [`word_failures_traced`].
-#[inline]
-fn sweep_traced<const HAS_INV: bool>(
+fn sweep<const HAS_INV: bool, T: Tracer>(
     table: &LaneTable,
     wb: u64,
     lanes: u64,
-    trace: &mut BpTrace,
+    tally: &mut Tally,
     scratch: &mut Scratch,
 ) -> u64 {
+    // Untraced, direct-form m == 1 fires merge into `fail` at once;
+    // traced, they are buffered too, because attribution needs every
+    // fire in program order.
+    let min_buffered = if T::ON { 1 } else { 2 };
     let mut fail = 0u64;
     for (blk, rows) in table.rows.chunks(BLOCK).enumerate() {
         let base_e = (blk * BLOCK) as u64;
@@ -379,58 +314,79 @@ fn sweep_traced<const HAS_INV: bool>(
                 (cell >> FRAC_BITS) & 63
             };
             let inv = if HAS_INV { cell >> 31 } else { 0 };
+            if !T::ON {
+                fail |= (1u64 << (r & 63)) & 0u64.wrapping_sub(u64::from(m == 1 && inv == 0));
+            }
             scratch.r[idx & (BLOCK - 1)] = r;
             scratch.ek[idx & (BLOCK - 1)] = inv << 16 | (er as u32) << 8 | m;
-            // Unlike the untraced sweep, m == 1 fires are buffered too:
-            // attribution needs them interleaved in program order.
-            idx += usize::from(m >= 1 || inv != 0);
+            idx += usize::from(m >= min_buffered || inv != 0);
         }
-        trace.fires += idx as u64;
+        if T::ON {
+            tally.fires += idx as u64;
+        }
         for (&r, &ek) in scratch.r.iter().zip(&scratch.ek).take(idx) {
             let er = ((ek >> 8) & 0xFF) as usize;
-            let e = base_e + er as u64;
-            let placed = place(r, (ek & 0xFF) as usize, wb, e);
+            let placed = place(r, (ek & 0xFF) as usize, wb, base_e + er as u64);
             let mask = if HAS_INV {
                 placed ^ 0u64.wrapping_sub(u64::from(ek >> 16))
             } else {
                 placed
             };
-            let newly = mask & !fail & lanes;
-            trace.aborts[table.classes[(blk * BLOCK) + er].index()] += u64::from(newly.count_ones());
+            if T::ON {
+                let newly = mask & !fail & lanes;
+                tally.aborts[table.classes[blk * BLOCK + er].index()] += u64::from(newly.count_ones());
+            }
             fail |= mask;
         }
     }
     fail
 }
 
-/// The instrumented twin of [`word_failures`]: identical draws and an
-/// identical return value, plus first-failure attribution. A lane
-/// aborts at the first row (program order) whose mask covers it — rows
-/// are class-homogeneous, so this is the same class accounting the
-/// scalar traced path performs — restricted to `lanes` so phantom
-/// lanes of a partial word are never attributed.
+/// The failure mask of global word `wb`: bit `l` set iff lane `l`'s
+/// trial aborted at some event. Pure in `(table, wb)`: `lanes` and the
+/// tracer only steer the bookkeeping.
+///
+/// Two phases per block: a branchless alias sweep that resolves `m`
+/// per row (compacting the fires into the scratch buffers), then
+/// placement of the compacted fires only. Complement-form rows are
+/// always buffered — even at `m = 0`, where the inverted empty mask
+/// fails the whole word.
+///
+/// With `T::ON` it also counts the word and its fires, and attributes
+/// each lane in `lanes` to the first row (program order) whose mask
+/// covers it. Rows are class-homogeneous, so this is the same class
+/// accounting the scalar kernel performs; restricting to `lanes` keeps
+/// phantom lanes of a partial word unattributed.
 #[inline]
-pub(crate) fn word_failures_traced(
+pub(crate) fn word_failures<T: Tracer>(
     table: &LaneTable,
     wb: u64,
     lanes: u64,
-    trace: &mut BpTrace,
+    tally: &mut Tally,
     scratch: &mut Scratch,
 ) -> u64 {
-    trace.words += 1;
+    if T::ON {
+        tally.words += 1;
+    }
     if table.any_inv {
-        sweep_traced::<true>(table, wb, lanes, trace, scratch)
+        sweep::<true, T>(table, wb, lanes, tally, scratch)
     } else {
-        sweep_traced::<false>(table, wb, lanes, trace, scratch)
+        sweep::<false, T>(table, wb, lanes, tally, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{NoTrace, Traced};
     use crate::profile::CoherenceModel;
     use quva_circuit::{Cbit, Circuit, PhysQubit};
     use quva_device::{Calibration, Device, Topology};
+
+    /// The failure mask of word `wb` with the recorder off.
+    fn untraced(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
+        word_failures::<NoTrace>(table, wb, !0, &mut Tally::default(), scratch)
+    }
 
     fn ladder_profile() -> FailureProfile {
         let device = Device::new(Topology::linear(5), |t| Calibration::uniform(t, 0.05, 0.01, 0.02));
@@ -557,11 +513,11 @@ mod tests {
         let table = LaneTable::new(&ladder_profile());
         let mut sc = Scratch::default();
         let a: Vec<u64> = (0..100)
-            .map(|w| word_failures(&table, crate::engine::splitmix(w), &mut sc))
+            .map(|w| untraced(&table, crate::engine::splitmix(w), &mut sc))
             .collect();
         let b: Vec<u64> = (0..100)
             .rev()
-            .map(|w| word_failures(&table, crate::engine::splitmix(w), &mut sc))
+            .map(|w| untraced(&table, crate::engine::splitmix(w), &mut sc))
             .collect();
         assert!(a.iter().eq(b.iter().rev()));
     }
@@ -574,9 +530,9 @@ mod tests {
         let mut sc = Scratch::default();
         for w in 0..200u64 {
             let wb = splitmix(w.wrapping_mul(GOLDEN));
-            let mut trace = BpTrace::default();
-            let traced = word_failures_traced(&table, wb, !0u64, &mut trace, &mut sc);
-            assert_eq!(traced, word_failures(&table, wb, &mut sc), "word {w} diverged");
+            let mut trace = Tally::default();
+            let traced = word_failures::<Traced>(&table, wb, !0u64, &mut trace, &mut sc);
+            assert_eq!(traced, untraced(&table, wb, &mut sc), "word {w} diverged");
             total_aborted += trace.aborts.iter().sum::<u64>();
             total_failed += u64::from(traced.count_ones());
         }
@@ -589,13 +545,13 @@ mod tests {
     fn partial_word_attribution_respects_the_lane_mask() {
         let table = LaneTable::new(&ladder_profile());
         let lanes = (1u64 << 13) - 1;
-        let mut narrow = BpTrace::default();
-        let mut full = BpTrace::default();
+        let mut narrow = Tally::default();
+        let mut full = Tally::default();
         let mut sc = Scratch::default();
         for w in 0..200u64 {
             let wb = splitmix(w);
-            let m_narrow = word_failures_traced(&table, wb, lanes, &mut narrow, &mut sc);
-            let m_full = word_failures_traced(&table, wb, !0u64, &mut full, &mut sc);
+            let m_narrow = word_failures::<Traced>(&table, wb, lanes, &mut narrow, &mut sc);
+            let m_full = word_failures::<Traced>(&table, wb, !0u64, &mut full, &mut sc);
             // the mask itself is lane-mask independent (same draws)
             assert_eq!(m_narrow, m_full);
         }
@@ -616,7 +572,7 @@ mod tests {
         let words = 40_000u64;
         let mut sc = Scratch::default();
         let failing: u64 = (0..words)
-            .map(|w| u64::from(word_failures(&table, splitmix(w), &mut sc).count_ones()))
+            .map(|w| u64::from(untraced(&table, splitmix(w), &mut sc).count_ones()))
             .sum();
         let mean = failing as f64 / words as f64;
         // SE of the mean of Binomial(64, 0.1) over 40k words ≈ 0.012
@@ -636,17 +592,17 @@ mod tests {
         let words = 40_000u64;
         let mut sc = Scratch::default();
         let surviving: u64 = (0..words)
-            .map(|w| u64::from((!word_failures(&table, splitmix(w), &mut sc)).count_ones()))
+            .map(|w| u64::from((!untraced(&table, splitmix(w), &mut sc)).count_ones()))
             .sum();
         let mean = surviving as f64 / words as f64;
         assert!((mean - 6.4).abs() < 0.06, "mean surviving lanes {mean}");
         // traced twin agrees on the inverted masks too
-        let mut trace = BpTrace::default();
+        let mut trace = Tally::default();
         for w in 0..200u64 {
             let wb = splitmix(w);
             assert_eq!(
-                word_failures_traced(&table, wb, !0u64, &mut trace, &mut sc),
-                word_failures(&table, wb, &mut sc)
+                word_failures::<Traced>(&table, wb, !0u64, &mut trace, &mut sc),
+                untraced(&table, wb, &mut sc)
             );
         }
     }
@@ -667,7 +623,7 @@ mod tests {
         let table = LaneTable::new(&profile);
         let mut sc = Scratch::default();
         let survivors: u32 = (0..100)
-            .map(|w| (!word_failures(&table, splitmix(w), &mut sc)).count_ones())
+            .map(|w| (!untraced(&table, splitmix(w), &mut sc)).count_ones())
             .sum();
         assert_eq!(survivors, 0, "hopeless device must fail every lane");
     }

@@ -8,7 +8,10 @@
 //! root seed by a SplitMix64 counter, and merging the per-chunk
 //! [`McEstimate`]s by pure integer addition.
 //!
-//! Two trial kernels share that chunked executor, selected by
+//! One generic scheduler, `run_chunks<K: ChunkKernel, T: Tracer>`,
+//! runs every configuration: the kernel and the recorder state are
+//! type parameters, and one worker is the same loop run inline on the
+//! caller's thread. Two trial kernels plug into it, selected by
 //! [`McKernel`]:
 //!
 //! * **`BitParallel`** (the default) — the SWAR kernel of
@@ -66,7 +69,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::bitparallel::{self, BpTrace, LaneTable, LANES};
+use crate::bitparallel::{self, LaneTable, LANES};
 use crate::montecarlo::McEstimate;
 use crate::profile::{EventClass, FailureProfile};
 
@@ -101,70 +104,99 @@ fn chunk_seed(root: u64, index: u64) -> u64 {
     splitmix(root.wrapping_add(GOLDEN.wrapping_mul(index.wrapping_add(1))))
 }
 
-/// Runs one chunk of the injection loop: `trials` independent trials
-/// against the dense `events` table, its own seeded stream.
-fn run_chunk(events: &[f64], trials: u64, seed: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut successes = 0u64;
-    'trial: for _ in 0..trials {
-        for &p in events {
-            if rng.random::<f64>() < p {
-                continue 'trial;
-            }
-        }
-        successes += 1;
-    }
-    successes
-}
-
-/// [`run_chunk`] with fault attribution: the aborting event's class is
-/// tallied into `aborts` (indexed by [`EventClass::index`]).
+/// Whether a chunk run records into the `quva-obs` recorder, as a
+/// compile-time fact: every `if T::ON` branch folds away, so the
+/// [`NoTrace`] instantiation of the scheduler and the sweep *is* the
+/// uninstrumented loop.
 ///
-/// Draws the RNG stream *identically* to `run_chunk` — both abort a
-/// trial at its first firing event — so for equal inputs the success
-/// count is bit-identical; only the bookkeeping differs.
-fn run_chunk_traced(
-    events: &[f64],
-    classes: &[EventClass],
-    trials: u64,
-    seed: u64,
-    aborts: &mut [u64; 5],
-) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut successes = 0u64;
-    'trial: for _ in 0..trials {
-        for (i, &p) in events.iter().enumerate() {
-            if rng.random::<f64>() < p {
-                aborts[classes[i].index()] += 1;
-                continue 'trial;
-            }
-        }
-        successes += 1;
-    }
-    successes
+/// Tracing only observes the run. Both instantiations consume identical
+/// draws and return identical counts; the traced one additionally
+/// fills a [`Tally`], opens `sim.*` spans and emits `sim.*` counters.
+pub(crate) trait Tracer {
+    const ON: bool;
 }
 
-/// Publishes a per-worker abort tally as `sim.abort.<class>` counters
-/// (zero classes omitted). Counter merging is u64 addition, so the
+/// The recorder is off: no spans, no counters, no tally updates.
+pub(crate) struct NoTrace;
+
+impl Tracer for NoTrace {
+    const ON: bool = false;
+}
+
+/// The recorder is on: spans, counters and fault attribution.
+pub(crate) struct Traced;
+
+impl Tracer for Traced {
+    const ON: bool = true;
+}
+
+/// One worker's fault attribution, published once as `sim.*` counters
+/// when the worker finishes. Counter merging is u64 addition, so the
 /// drained totals are independent of the work-stealing schedule.
-fn record_aborts(aborts: &[u64; 5]) {
-    for class in EventClass::ALL {
-        let n = aborts[class.index()];
-        if n > 0 {
-            quva_obs::counter(class.abort_counter(), n);
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tally {
+    /// Aborted trials per [`EventClass::index`].
+    pub aborts: [u64; 5],
+    /// Bit-parallel lane-words processed (partial edge words count once
+    /// each).
+    pub words: u64,
+    /// Bit-parallel fused rows that fired (`m ≥ 1`, or any
+    /// complement-form row) across all processed words.
+    pub fires: u64,
+}
+
+impl Tally {
+    /// Emits `sim.abort.<class>` and `sim.bitparallel.{words,fires}`;
+    /// zero counts are omitted, so the scalar kernel emits no
+    /// `sim.bitparallel.*` counters.
+    fn publish(&self) {
+        for class in EventClass::ALL {
+            quva_obs::counter(class.abort_counter(), self.aborts[class.index()]);
         }
+        quva_obs::counter("sim.bitparallel.words", self.words);
+        quva_obs::counter("sim.bitparallel.fires", self.fires);
     }
 }
 
-/// Publishes a per-worker bit-parallel tally: the shared `sim.abort.*`
-/// accounting plus the kernel's own `sim.bitparallel.*` counters.
-fn record_bp_trace(trace: &BpTrace) {
-    record_aborts(&trace.aborts);
-    if trace.words > 0 {
-        quva_obs::counter("sim.bitparallel.words", trace.words);
-    }
-    if trace.fires > 0 {
-        quva_obs::counter("sim.bitparallel.fires", trace.fires);
+/// A trial kernel as the chunk scheduler sees it: something that runs
+/// chunk `k`, the global trial range `[start, start + len)`, and
+/// counts its successes. With `T::ON` it also attributes each aborted
+/// trial to the class of its first firing event; the draws and the
+/// count do not depend on `T`.
+///
+/// Impls mark `run_chunk` `#[inline(never)]`, so a kernel's hot loop is
+/// compiled on its own rather than inside each scheduler loop that
+/// calls it; one call per chunk (16 Ki trials) costs nothing
+/// measurable.
+trait ChunkKernel: Sync {
+    fn run_chunk<T: Tracer>(&self, seed: u64, k: u64, start: u64, len: u64, tally: &mut Tally) -> u64;
+}
+
+/// The per-trial Bernoulli loop over the dense active-event table.
+/// Chunk `k` draws its own `StdRng` stream seeded by `chunk_seed(seed,
+/// k)`, so the sample depends on the chunk size.
+struct ScalarKernel<'a> {
+    events: &'a [f64],
+    classes: &'a [EventClass],
+}
+
+impl ChunkKernel for ScalarKernel<'_> {
+    #[inline(never)]
+    fn run_chunk<T: Tracer>(&self, seed: u64, k: u64, _start: u64, len: u64, tally: &mut Tally) -> u64 {
+        let mut rng = StdRng::seed_from_u64(chunk_seed(seed, k));
+        let mut successes = 0u64;
+        'trial: for _ in 0..len {
+            for (i, &p) in self.events.iter().enumerate() {
+                if rng.random::<f64>() < p {
+                    if T::ON {
+                        tally.aborts[self.classes[i].index()] += 1;
+                    }
+                    continue 'trial;
+                }
+            }
+            successes += 1;
+        }
+        successes
     }
 }
 
@@ -176,57 +208,34 @@ fn lane_mask(lo: u64, hi: u64) -> u64 {
     (!0u64 >> (LANES - (hi - lo))) << lo
 }
 
-/// Runs the bit-parallel kernel over the *global* trial range
-/// `[start, start + len)`. Lane-words overlapping the range are
+/// The bit-parallel kernel. Lane-words overlapping the range are
 /// evaluated in full — every draw is keyed by the global word index,
 /// so a word split across two chunks is computed identically by both
-/// and each counts only its own lanes. That is what makes the merged
-/// result independent of the chunking.
-fn run_chunk_bitparallel(table: &LaneTable, seed: u64, start: u64, len: u64) -> u64 {
-    if len == 0 {
-        return 0;
+/// and each counts (and attributes) only its own lanes. That is what
+/// makes the merged result independent of the chunking.
+impl ChunkKernel for LaneTable {
+    #[inline(never)]
+    fn run_chunk<T: Tracer>(&self, seed: u64, _k: u64, start: u64, len: u64, tally: &mut Tally) -> u64 {
+        let end = start + len;
+        let mut successes = 0u64;
+        let mut scratch = bitparallel::Scratch::default();
+        for w in start / LANES..end.div_ceil(LANES) {
+            let lo = start.max(w * LANES) - w * LANES;
+            let hi = end.min((w + 1) * LANES) - w * LANES;
+            // Only the traced sweep reads the lane mask. The untraced
+            // one gets a constant, so the mask is built after its row
+            // loop instead of holding a register through it.
+            let sweep_lanes = if T::ON { lane_mask(lo, hi) } else { !0 };
+            let fail =
+                bitparallel::word_failures::<T>(self, chunk_seed(seed, w), sweep_lanes, tally, &mut scratch);
+            successes += u64::from((!fail & lane_mask(lo, hi)).count_ones());
+        }
+        successes
     }
-    let end = start + len;
-    let mut successes = 0u64;
-    let mut scratch = bitparallel::Scratch::default();
-    for w in start / LANES..end.div_ceil(LANES) {
-        let lo = start.max(w * LANES) - w * LANES;
-        let hi = end.min((w + 1) * LANES) - w * LANES;
-        let fail = bitparallel::word_failures(table, chunk_seed(seed, w), &mut scratch);
-        successes += u64::from((!fail & lane_mask(lo, hi)).count_ones());
-    }
-    successes
 }
 
-/// [`run_chunk_bitparallel`] with fault attribution and kernel
-/// counters. Identical draws, identical masks, identical counts —
-/// only the bookkeeping differs (the contract shared with
-/// [`run_chunk_traced`]).
-fn run_chunk_bitparallel_traced(
-    table: &LaneTable,
-    seed: u64,
-    start: u64,
-    len: u64,
-    trace: &mut BpTrace,
-) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let end = start + len;
-    let mut successes = 0u64;
-    let mut scratch = bitparallel::Scratch::default();
-    for w in start / LANES..end.div_ceil(LANES) {
-        let lo = start.max(w * LANES) - w * LANES;
-        let hi = end.min((w + 1) * LANES) - w * LANES;
-        let lanes = lane_mask(lo, hi);
-        let fail = bitparallel::word_failures_traced(table, chunk_seed(seed, w), lanes, trace, &mut scratch);
-        successes += u64::from((!fail & lanes).count_ones());
-    }
-    successes
-}
-
-/// Chunk-boundary progress accounting threaded through the injection
-/// loops. `done` is a shared cumulative counter, so each completed
+/// Chunk-boundary progress accounting, checked once per chunk by the
+/// scheduler. `done` is a shared cumulative counter, so each completed
 /// chunk reports the *total* trials finished so far; with work
 /// stealing the callback may be invoked from several worker threads
 /// and invocation order is schedule-dependent (fold with `max` for a
@@ -354,10 +363,12 @@ impl McEngine {
         McEngine::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 
-    /// Overrides the trials-per-chunk granularity. Changing this picks
-    /// a *different* (still deterministic) sample: results are
-    /// bit-stable across thread counts for a fixed chunk size, not
-    /// across chunk sizes. Exposed for property tests and tuning; the
+    /// Overrides the trials-per-chunk granularity. For the scalar
+    /// kernel this picks a *different* (still deterministic) sample:
+    /// its results are bit-stable across thread counts for a fixed
+    /// chunk size, not across chunk sizes. The bit-parallel sample does
+    /// not depend on the chunk size at all (its draws are keyed by
+    /// global lane-word). Exposed for property tests and tuning; the
     /// default suits every production path.
     pub fn with_chunk_trials(mut self, chunk_trials: u64) -> Self {
         self.chunk_trials = chunk_trials.max(1);
@@ -439,23 +450,25 @@ impl McEngine {
         progress: Option<&ProgressSink>,
     ) -> McEstimate {
         if quva_obs::enabled() {
-            self.run_traced(profile, trials, seed, progress)
+            let _run = quva_obs::span("sim", "sim.run");
+            self.run_kernel::<Traced>(profile, trials, seed, progress)
         } else {
-            self.run_reference_with(profile, trials, seed, progress)
+            self.run_kernel::<NoTrace>(profile, trials, seed, progress)
         }
     }
 
     /// The uninstrumented injection loop for the configured kernel: no
-    /// recorder check, no spans, no counters. [`Self::run`] delegates
-    /// here whenever tracing is disabled; `bench_sim`'s overhead gate
-    /// compares the two to keep the disabled path within 5 % of this
-    /// baseline (the bit-parallel kernel runs at ~8 ns/trial, so a
-    /// tighter bound would be below timing resolution).
+    /// recorder check, no spans, no counters. [`Self::run`] runs this
+    /// same instantiation whenever tracing is disabled; `bench_sim`'s
+    /// overhead gate compares the two to keep the disabled path within
+    /// 5 % of this baseline (the bit-parallel kernel runs at
+    /// ~8 ns/trial, so a tighter bound would be below timing
+    /// resolution).
     pub fn run_reference(&self, profile: &FailureProfile, trials: u64, seed: u64) -> McEstimate {
-        self.run_reference_with(profile, trials, seed, None)
+        self.run_kernel::<NoTrace>(profile, trials, seed, None)
     }
 
-    fn run_reference_with(
+    fn run_kernel<T: Tracer>(
         &self,
         profile: &FailureProfile,
         trials: u64,
@@ -463,280 +476,85 @@ impl McEngine {
         progress: Option<&ProgressSink>,
     ) -> McEstimate {
         match self.kernel {
-            McKernel::Scalar => self.run_reference_scalar(profile, trials, seed, progress),
-            McKernel::BitParallel => self.run_reference_bitparallel(profile, trials, seed, progress),
+            McKernel::Scalar => {
+                let kernel = ScalarKernel {
+                    events: profile.active_events(),
+                    classes: profile.active_event_classes(),
+                };
+                self.run_chunks::<_, T>(&kernel, trials, seed, progress)
+            }
+            McKernel::BitParallel => {
+                let table = LaneTable::new(profile);
+                if T::ON {
+                    quva_obs::counter("sim.bitparallel.runs", 1);
+                }
+                self.run_chunks::<_, T>(&table, trials, seed, progress)
+            }
         }
     }
 
-    fn run_reference_scalar(
+    /// The one chunk scheduler. Workers claim chunk indices from a
+    /// shared counter (work stealing: chunk costs are uneven, since an
+    /// early fault aborts a trial, so a shared counter beats static
+    /// striping) and sum successes locally. The result cannot depend on
+    /// the schedule: chunk `k`'s draws are a pure function of
+    /// `(seed, k)` and the merge is integer addition. With one worker
+    /// the same closure runs on the caller's thread, with no spawn.
+    fn run_chunks<K: ChunkKernel, T: Tracer>(
         &self,
-        profile: &FailureProfile,
+        kernel: &K,
         trials: u64,
         seed: u64,
         progress: Option<&ProgressSink>,
     ) -> McEstimate {
-        let events = profile.active_events();
         let chunks = trials.div_ceil(self.chunk_trials);
         let workers = (self.threads as u64).min(chunks);
-        if workers <= 1 {
-            // Caller-thread path: same chunking, same seeds, no spawn.
-            let successes = (0..chunks)
-                .map(|k| {
-                    let len = self.chunk_len(trials, k);
-                    let s = run_chunk(events, len, chunk_seed(seed, k));
-                    if let Some(p) = progress {
-                        p.chunk_done(len);
-                    }
-                    s
-                })
-                .sum();
-            return McEstimate::from_counts(successes, trials);
-        }
-
-        // Work-stealing over the chunk index: chunk costs are uneven
-        // (an early fault aborts a trial), so a shared counter beats
-        // static striping. The result cannot depend on the schedule —
-        // chunk k's seed is a pure function of (seed, k) and the merge
-        // is integer addition.
-        let next = AtomicU64::new(0);
-        let successes = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= chunks {
-                                break;
-                            }
-                            let len = self.chunk_len(trials, k);
-                            local += run_chunk(events, len, chunk_seed(seed, k));
-                            if let Some(p) = progress {
-                                p.chunk_done(len);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
-        McEstimate::from_counts(successes, trials)
-    }
-
-    fn run_reference_bitparallel(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let table = LaneTable::new(profile);
-        let chunks = trials.div_ceil(self.chunk_trials);
-        let workers = (self.threads as u64).min(chunks);
-        if workers <= 1 {
-            let successes = (0..chunks)
-                .map(|k| {
-                    let len = self.chunk_len(trials, k);
-                    let s = run_chunk_bitparallel(&table, seed, k * self.chunk_trials, len);
-                    if let Some(p) = progress {
-                        p.chunk_done(len);
-                    }
-                    s
-                })
-                .sum();
-            return McEstimate::from_counts(successes, trials);
+        if T::ON {
+            quva_obs::counter("sim.runs", 1);
+            quva_obs::counter("sim.trials", trials);
+            quva_obs::counter("sim.chunks", chunks);
+            quva_obs::counter("sim.workers", workers.max(1));
         }
 
         let next = AtomicU64::new(0);
-        let table = &table;
-        let successes = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= chunks {
-                                break;
-                            }
-                            let len = self.chunk_len(trials, k);
-                            local += run_chunk_bitparallel(table, seed, k * self.chunk_trials, len);
-                            if let Some(p) = progress {
-                                p.chunk_done(len);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
-        McEstimate::from_counts(successes, trials)
-    }
-
-    /// The instrumented twin of [`Self::run_reference`]: same chunking,
-    /// same seeds, same RNG draws, plus spans and deterministic
-    /// counters. Worker threads record only u64 counters and flush
-    /// before exiting, so a drain after this returns sees
-    /// schedule-independent totals.
-    fn run_traced(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        match self.kernel {
-            McKernel::Scalar => self.run_traced_scalar(profile, trials, seed, progress),
-            McKernel::BitParallel => self.run_traced_bitparallel(profile, trials, seed, progress),
-        }
-    }
-
-    fn run_traced_scalar(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let _run = quva_obs::span("sim", "sim.run");
-        let events = profile.active_events();
-        let classes = profile.active_event_classes();
-        let chunks = trials.div_ceil(self.chunk_trials);
-        let workers = (self.threads as u64).min(chunks);
-        quva_obs::counter("sim.runs", 1);
-        quva_obs::counter("sim.trials", trials);
-        quva_obs::counter("sim.chunks", chunks);
-        quva_obs::counter("sim.workers", workers.max(1));
-
-        if workers <= 1 {
+        let work = || {
             let mut successes = 0u64;
-            let mut aborts = [0u64; 5];
-            for k in 0..chunks {
-                let _chunk = quva_obs::span("sim", "sim.chunk");
+            let mut tally = Tally::default();
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= chunks {
+                    break;
+                }
+                let _chunk = T::ON.then(|| quva_obs::span("sim", "sim.chunk"));
                 let len = self.chunk_len(trials, k);
-                successes += run_chunk_traced(events, classes, len, chunk_seed(seed, k), &mut aborts);
+                successes += kernel.run_chunk::<T>(seed, k, k * self.chunk_trials, len, &mut tally);
                 if let Some(p) = progress {
                     p.chunk_done(len);
                 }
             }
-            record_aborts(&aborts);
-            return McEstimate::from_counts(successes, trials);
-        }
-
-        let next = AtomicU64::new(0);
-        let successes: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        let mut aborts = [0u64; 5];
-                        {
-                            let _worker = quva_obs::span("sim", "sim.worker");
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= chunks {
-                                    break;
-                                }
-                                let _chunk = quva_obs::span("sim", "sim.chunk");
-                                let len = self.chunk_len(trials, k);
-                                local +=
-                                    run_chunk_traced(events, classes, len, chunk_seed(seed, k), &mut aborts);
-                                if let Some(p) = progress {
-                                    p.chunk_done(len);
-                                }
-                            }
-                        }
-                        record_aborts(&aborts);
-                        // TLS destructors may lag a scope join: merge now
-                        // so the caller's drain sees this worker
-                        quva_obs::flush();
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
-        McEstimate::from_counts(successes, trials)
-    }
-
-    fn run_traced_bitparallel(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let _run = quva_obs::span("sim", "sim.run");
-        let table = LaneTable::new(profile);
-        let chunks = trials.div_ceil(self.chunk_trials);
-        let workers = (self.threads as u64).min(chunks);
-        quva_obs::counter("sim.runs", 1);
-        quva_obs::counter("sim.trials", trials);
-        quva_obs::counter("sim.chunks", chunks);
-        quva_obs::counter("sim.workers", workers.max(1));
-        quva_obs::counter("sim.bitparallel.runs", 1);
-
-        if workers <= 1 {
-            let mut successes = 0u64;
-            let mut trace = BpTrace::default();
-            for k in 0..chunks {
-                let _chunk = quva_obs::span("sim", "sim.chunk");
-                let len = self.chunk_len(trials, k);
-                successes +=
-                    run_chunk_bitparallel_traced(&table, seed, k * self.chunk_trials, len, &mut trace);
-                if let Some(p) = progress {
-                    p.chunk_done(len);
-                }
+            if T::ON {
+                tally.publish();
             }
-            record_bp_trace(&trace);
-            return McEstimate::from_counts(successes, trials);
+            successes
+        };
+        if workers <= 1 {
+            return McEstimate::from_counts(work(), trials);
         }
 
-        let next = AtomicU64::new(0);
-        let table = &table;
-        let successes: u64 = std::thread::scope(|scope| {
+        let successes = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut local = 0u64;
-                        let mut trace = BpTrace::default();
-                        {
-                            let _worker = quva_obs::span("sim", "sim.worker");
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= chunks {
-                                    break;
-                                }
-                                let _chunk = quva_obs::span("sim", "sim.chunk");
-                                let len = self.chunk_len(trials, k);
-                                local += run_chunk_bitparallel_traced(
-                                    table,
-                                    seed,
-                                    k * self.chunk_trials,
-                                    len,
-                                    &mut trace,
-                                );
-                                if let Some(p) = progress {
-                                    p.chunk_done(len);
-                                }
-                            }
+                        let successes = {
+                            let _worker = T::ON.then(|| quva_obs::span("sim", "sim.worker"));
+                            work()
+                        };
+                        if T::ON {
+                            // TLS destructors may lag a scope join: merge
+                            // now so the caller's drain sees this worker
+                            quva_obs::flush();
                         }
-                        record_bp_trace(&trace);
-                        // TLS destructors may lag a scope join: merge now
-                        // so the caller's drain sees this worker
-                        quva_obs::flush();
-                        local
+                        successes
                     })
                 })
                 .collect();
