@@ -148,7 +148,9 @@ fn greedy_interaction(circuit: &Circuit, device: &Device, region: Option<&[PhysQ
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|| unreachable!("all qubits placed")))
         .collect();
-    refine_by_exchange(&mut positions, &candidates, &ig, |a, b| hops.get(a, b) as f64);
+    refine_by_exchange(&mut positions, &mut used, &candidates, &ig, |a, b| {
+        hops.get(a, b) as f64
+    });
     Mapping::from_assignment(k, n, |q| positions[q.index()])
         .unwrap_or_else(|e| unreachable!("refined placement cannot collide: {e}"))
 }
@@ -157,9 +159,11 @@ fn greedy_interaction(circuit: &Circuit, device: &Device, region: Option<&[PhysQ
 /// program qubits' homes, or relocating one qubit to a free candidate
 /// slot, keeping any move that lowers the interaction-weighted distance
 /// Σ w(i,j)·D(π(i), π(j)). Greedy construction is myopic; this pass
-/// removes its worst misplacements deterministically.
+/// removes its worst misplacements deterministically. `occupied[p]`
+/// marks the physical qubits `positions` holds, and is kept in step.
 fn refine_by_exchange(
     positions: &mut [PhysQubit],
+    occupied: &mut [bool],
     candidates: &[PhysQubit],
     ig: &InteractionGraph,
     dist: impl Fn(PhysQubit, PhysQubit) -> f64,
@@ -185,13 +189,12 @@ fn refine_by_exchange(
         quva_obs::counter("alloc.refine_passes", 1);
         let mut improved = false;
         // relocations to free slots
-        let mut occupied: std::collections::HashSet<PhysQubit> = positions.iter().copied().collect();
         for q in 0..k {
             let here = positions[q];
             let current = cost_of(positions, q, here);
             let mut best: Option<(f64, PhysQubit)> = None;
             for &slot in candidates {
-                if occupied.contains(&slot) {
+                if occupied[slot.index()] {
                     continue;
                 }
                 let c = cost_of(positions, q, slot);
@@ -201,8 +204,8 @@ fn refine_by_exchange(
             }
             if let Some((_, slot)) = best {
                 positions[q] = slot;
-                occupied.remove(&here);
-                occupied.insert(slot);
+                occupied[here.index()] = false;
+                occupied[slot.index()] = true;
                 improved = true;
             }
         }
@@ -335,7 +338,7 @@ fn vqa_allocate(
         .map(|slot| slot.unwrap_or_else(|| unreachable!("all qubits placed")))
         .collect();
     // refine under the reliability metric, still confined to the region
-    refine_by_exchange(&mut positions, &region, &ig, |a, b| rel.get(a, b));
+    refine_by_exchange(&mut positions, &mut used, &region, &ig, |a, b| rel.get(a, b));
     Mapping::from_assignment(k, n, |q| positions[q.index()]).map_err(|e| e.to_string())
 }
 

@@ -436,21 +436,16 @@ pub(crate) fn metric_distances(
     metric: RoutingMetric,
     warn_on_degraded: bool,
 ) -> (ReliabilityMatrix, bool) {
-    let topo = device.topology();
-    let weights_usable = (0..topo.num_links()).all(|id| {
-        let link = topo.links()[id];
+    let weights_usable = (0..device.topology().num_links()).all(|id| {
         !device.link_enabled(id)
             || device
-                .swap_failure_weight(link.low(), link.high())
+                .swap_failure_weight_of(id)
                 .is_some_and(|w| w.is_finite() && w >= 0.0)
     });
     let dist = match metric {
         RoutingMetric::Reliability { .. } if weights_usable => {
-            ReliabilityMatrix::of_active(device, |id| {
-                let link = topo.links()[id];
-                device.swap_failure_weight(link.low(), link.high()).unwrap_or(0.0)
-                // enabled links always carry a weight
-            })
+            // enabled links always carry a weight
+            ReliabilityMatrix::of_active(device, |id| device.swap_failure_weight_of(id).unwrap_or(0.0))
         }
         // the documented VQM degradation: unusable reliability weights
         // fall back to hop-count distances (uniform cost = hops)
@@ -724,7 +719,7 @@ fn bring_together(
         // location (SWAPs across dead links are impossible)
         let mut best: Option<(f64, (PhysQubit, PhysQubit))> = None;
         for &active in &[pa, pb] {
-            for nb in device.active_neighbors(active) {
+            for (nb, id) in device.active_incident(active) {
                 let cand = (active, nb);
                 candidates += 1;
                 if last_swap == Some((cand.1, cand.0)) || last_swap == Some(cand) {
@@ -749,7 +744,7 @@ fn bring_together(
                     RoutingMetric::Reliability { .. } => {
                         // active neighbors always carry a weight; a link
                         // with an unusable weight is never swapped over
-                        match device.swap_failure_weight(cand.0, cand.1) {
+                        match device.swap_failure_weight_of(id) {
                             Some(w) if w.is_finite() => w,
                             _ => continue,
                         }

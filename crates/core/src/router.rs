@@ -275,8 +275,8 @@ impl<'d> Router<'d> {
         while cur != b {
             let descending: Vec<PhysQubit> = self
                 .device
-                .active_neighbors(cur)
-                .into_iter()
+                .active_incident(cur)
+                .map(|(n, _)| n)
                 .filter(|&n| self.hops.get(n, b) == self.hops.get(cur, b) - 1)
                 .collect();
             if descending.is_empty() {
@@ -361,10 +361,10 @@ impl<'d> Router<'d> {
             if hops == cap {
                 continue;
             }
-            for nb in self.device.active_neighbors(PhysQubit(node as u32)) {
+            for (nb, id) in self.device.active_incident(PhysQubit(node as u32)) {
                 // active neighbors always carry a weight; a link whose
                 // weight is missing or unusable is simply not traversed
-                let Some(w) = self.device.swap_failure_weight(PhysQubit(node as u32), nb) else {
+                let Some(w) = self.device.swap_failure_weight_of(id) else {
                     continue;
                 };
                 if !w.is_finite() {

@@ -155,13 +155,28 @@ impl Device {
         self.topology.link_id(a, b).is_some_and(|id| !self.disabled[id])
     }
 
-    /// The neighbors of `q` over usable links only, ascending.
-    pub fn active_neighbors(&self, q: PhysQubit) -> Vec<PhysQubit> {
+    /// The `(neighbor, link id)` pairs of `q` over usable links only,
+    /// ascending by neighbor: [`Topology::incident`] without the
+    /// disabled links.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn active_incident(&self, q: PhysQubit) -> impl Iterator<Item = (PhysQubit, usize)> + '_ {
         self.topology
-            .neighbors(q)
-            .into_iter()
-            .filter(|&nb| self.has_active_link(q, nb))
-            .collect()
+            .incident(q)
+            .iter()
+            .copied()
+            .filter(|&(_, id)| !self.disabled[id])
+    }
+
+    /// The neighbors of `q` over usable links only, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn active_neighbors(&self, q: PhysQubit) -> Vec<PhysQubit> {
+        self.active_incident(q).map(|(nb, _)| nb).collect()
     }
 
     /// The coupling topology.
@@ -233,10 +248,12 @@ impl Device {
     /// CNOT error rate across a link, `None` when the qubits are not
     /// coupled or the link is disabled.
     pub fn link_error(&self, a: PhysQubit, b: PhysQubit) -> Option<f64> {
-        self.topology
-            .link_id(a, b)
-            .filter(|&id| !self.disabled[id])
-            .map(|id| self.calibration.two_qubit_error(id))
+        self.topology.link_id(a, b).and_then(|id| self.link_error_of(id))
+    }
+
+    /// CNOT error rate of the link with this id, `None` when disabled.
+    fn link_error_of(&self, id: usize) -> Option<f64> {
+        (!self.disabled[id]).then(|| self.calibration.two_qubit_error(id))
     }
 
     /// CNOT success probability across a link, `None` when uncoupled.
@@ -253,12 +270,36 @@ impl Device {
     /// The failure weight `−ln(p)` of one CNOT on a link, the additive
     /// cost VQM minimizes. `None` when uncoupled.
     pub fn cnot_failure_weight(&self, a: PhysQubit, b: PhysQubit) -> Option<f64> {
-        self.cnot_success(a, b).map(|s| -s.max(f64::MIN_POSITIVE).ln())
+        self.topology
+            .link_id(a, b)
+            .and_then(|id| self.cnot_failure_weight_of(id))
     }
 
     /// The failure weight `−ln(p³)` of one SWAP on a link.
     pub fn swap_failure_weight(&self, a: PhysQubit, b: PhysQubit) -> Option<f64> {
-        self.swap_success(a, b).map(|s| -s.max(f64::MIN_POSITIVE).ln())
+        self.topology
+            .link_id(a, b)
+            .and_then(|id| self.swap_failure_weight_of(id))
+    }
+
+    /// [`Device::cnot_failure_weight`] by link id; `None` when the link
+    /// is disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a valid link id.
+    pub fn cnot_failure_weight_of(&self, id: usize) -> Option<f64> {
+        self.link_error_of(id).map(|e| failure_weight(1.0 - e))
+    }
+
+    /// [`Device::swap_failure_weight`] by link id; `None` when the link
+    /// is disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a valid link id.
+    pub fn swap_failure_weight_of(&self, id: usize) -> Option<f64> {
+        self.link_error_of(id).map(|e| failure_weight((1.0 - e).powi(3)))
     }
 
     /// The sub-device induced by a region of physical qubits: the
@@ -337,6 +378,12 @@ impl Device {
             region.to_vec(),
         )
     }
+}
+
+/// The additive failure weight `−ln(p)` of an operation that succeeds
+/// with probability `p`.
+fn failure_weight(p: f64) -> f64 {
+    -p.max(f64::MIN_POSITIVE).ln()
 }
 
 impl fmt::Display for Device {

@@ -62,10 +62,7 @@ impl HopMatrix {
             queue.push_back(s);
             while let Some(v) = queue.pop_front() {
                 let dv = dist[s * n + v];
-                for u in topology.neighbors(PhysQubit(v as u32)) {
-                    let id = topology
-                        .link_id(PhysQubit(v as u32), u)
-                        .unwrap_or_else(|| unreachable!("neighbor implies link"));
+                for &(u, id) in topology.incident(PhysQubit(v as u32)) {
                     if !enabled(id) {
                         continue;
                     }
@@ -206,10 +203,7 @@ impl ReliabilityMatrix {
                 if cost > dist[s * n + node] {
                     continue;
                 }
-                for nb in topology.neighbors(PhysQubit(node as u32)) {
-                    let id = topology
-                        .link_id(PhysQubit(node as u32), nb)
-                        .unwrap_or_else(|| unreachable!("neighbor implies link"));
+                for &(nb, id) in topology.incident(PhysQubit(node as u32)) {
                     let nd = cost + costs[id];
                     let ni = nb.index();
                     if nd < dist[s * n + ni] {

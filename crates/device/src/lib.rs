@@ -2,9 +2,10 @@
 //!
 //! Everything the variation-aware policies need to know about a machine:
 //!
-//! * [`Topology`] — the coupling graph, with the paper's layouts
-//!   ([`Topology::ibm_q20_tokyo`], [`Topology::ibm_q5_tenerife`]) and
-//!   generic meshes;
+//! * [`Topology`] — the coupling graph as a flat, shared adjacency
+//!   (per-qubit `(neighbor, link id)` slices, O(1) link lookup), with
+//!   the paper's layouts ([`Topology::ibm_q20_tokyo`],
+//!   [`Topology::ibm_q5_tenerife`]) and generic meshes;
 //! * [`Calibration`] — one characterization snapshot: T1/T2, 1Q/readout
 //!   error per qubit, 2Q error per link;
 //! * [`CalibrationGenerator`] — seeded synthetic characterization
@@ -52,7 +53,7 @@ pub use strength::{
     best_region, candidate_regions, k_core_numbers, node_strengths, region_internal_success,
     strongest_subgraph, try_strongest_subgraph,
 };
-pub use topology::{Link, Topology};
+pub use topology::{Link, Topology, MAX_QUBITS};
 pub use validate::{
     CalField, CalibrationIssue, CalibrationRejected, CalibrationReport, IssueKind, RawCalibration,
     SanitizePolicy,

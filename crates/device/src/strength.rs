@@ -77,7 +77,7 @@ pub fn k_core_numbers(topology: &Topology) -> Vec<usize> {
         current_k = current_k.max(degree[v]);
         core[v] = current_k;
         removed[v] = true;
-        for u in topology.neighbors(PhysQubit(v as u32)) {
+        for &(u, _) in topology.incident(PhysQubit(v as u32)) {
             let ui = u.index();
             if !removed[ui] && degree[ui] > 0 {
                 degree[ui] -= 1;
@@ -146,6 +146,7 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
     let strengths = node_strengths(device);
 
     let mut found: Vec<(f64, Vec<usize>)> = Vec::new();
+    let mut seen: Vec<Vec<usize>> = Vec::new();
     for seed in 0..n {
         // Greedy: grow from the seed, always absorbing the frontier
         // vertex that adds the most *internal* link success.
@@ -157,22 +158,16 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
             for &m in &members {
                 // only active links can connect a region — growth over a
                 // dead coupler would produce an unroutable allocation
-                for nb in device.active_neighbors(PhysQubit(m as u32)) {
+                for (nb, _) in device.active_incident(PhysQubit(m as u32)) {
                     let v = nb.index();
                     if in_set[v] {
                         continue;
                     }
                     // gain = success mass of links from v into the set
                     let gain: f64 = device
-                        .active_neighbors(nb)
-                        .iter()
-                        .filter(|u| in_set[u.index()])
-                        .map(|&u| {
-                            let id = topo
-                                .link_id(nb, u)
-                                .unwrap_or_else(|| unreachable!("neighbor implies link"));
-                            1.0 - device.calibration().two_qubit_error(id)
-                        })
+                        .active_incident(nb)
+                        .filter(|(u, _)| in_set[u.index()])
+                        .map(|(_, id)| 1.0 - device.calibration().two_qubit_error(id))
                         .sum::<f64>()
                         + 1e-3 * strengths[v]; // tie-break by global strength
                     match candidate {
@@ -188,20 +183,20 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         if members.len() < k {
             continue; // component too small
         }
+        // regions grown from different seeds often coincide; compare
+        // them as ascending member sets
+        let mut key = members.clone();
+        key.sort_unstable();
+        if seen.contains(&key) {
+            continue;
+        }
+        seen.push(key);
         let ans: f64 =
-            internal_success(device, &members) + 1e-6 * members.iter().map(|&v| strengths[v]).sum::<f64>();
+            internal_success(device, &in_set) + 1e-6 * members.iter().map(|&v| strengths[v]).sum::<f64>();
         // order members by descending node strength — the order VQA
         // assigns the most active program qubits in
         members.sort_by(|&a, &b| strengths[b].total_cmp(&strengths[a]).then(a.cmp(&b)));
-        if !found.iter().any(|(_, m)| {
-            let mut a = m.clone();
-            let mut b = members.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            a == b
-        }) {
-            found.push((ans, members));
-        }
+        found.push((ans, members));
     }
 
     found.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -228,8 +223,11 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
 /// assert!((s - 0.9).abs() < 1e-12);
 /// ```
 pub fn region_internal_success(device: &Device, region: &[PhysQubit]) -> f64 {
-    let members: Vec<usize> = region.iter().map(|q| q.index()).collect();
-    internal_success(device, &members)
+    let mut in_set = vec![false; device.num_qubits()];
+    for q in region {
+        in_set[q.index()] = true;
+    }
+    internal_success(device, &in_set)
 }
 
 /// The strongest connected k-region and its internal success mass, or
@@ -240,15 +238,13 @@ pub fn best_region(device: &Device, k: usize) -> Option<(Vec<PhysQubit>, f64)> {
     Some((region, score))
 }
 
-/// Total link success mass internal to a vertex set — the objective the
-/// greedy maximizes.
-fn internal_success(device: &Device, members: &[usize]) -> f64 {
-    let topo = device.topology();
-    let mut in_set = vec![false; topo.num_qubits()];
-    for &m in members {
-        in_set[m] = true;
-    }
-    topo.links()
+/// Total link success mass internal to a vertex set (`in_set[q]` marks
+/// the members) — the objective the greedy maximizes. Summed in link-id
+/// order.
+fn internal_success(device: &Device, in_set: &[bool]) -> f64 {
+    device
+        .topology()
+        .links()
         .iter()
         .enumerate()
         .filter(|&(id, l)| device.link_enabled(id) && in_set[l.low().index()] && in_set[l.high().index()])

@@ -4,8 +4,8 @@
 //! whose edges are coupling links: a two-qubit gate can only be applied
 //! across an edge (paper §2.4).
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use petgraph::graph::{NodeIndex, UnGraph};
 use quva_circuit::PhysQubit;
@@ -81,7 +81,17 @@ impl fmt::Display for Link {
     }
 }
 
+/// The largest topology [`Topology::from_links`] accepts. The dense
+/// link-id table costs `4·n²` bytes, 64 MiB at this size.
+pub const MAX_QUBITS: usize = 4096;
+
 /// The coupling graph of a device.
+///
+/// A topology owns its adjacency: the link list, a compressed list of
+/// `(neighbor, link id)` pairs per qubit sorted by neighbor, and a
+/// dense `n × n` link-id table for O(1) [`Topology::link_id`]. All of
+/// it is immutable and shared behind one [`Arc`], so cloning a
+/// topology (and every [`Device`](crate::Device) built on it) is O(1).
 ///
 /// # Examples
 ///
@@ -94,12 +104,23 @@ impl fmt::Display for Link {
 /// assert!(t.has_link(PhysQubit(0), PhysQubit(1)));
 /// assert!(!t.has_link(PhysQubit(0), PhysQubit(2)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Topology {
+    adj: Arc<Adjacency>,
+}
+
+struct Adjacency {
     name: String,
-    graph: UnGraph<PhysQubit, ()>,
+    num_qubits: usize,
     links: Vec<Link>,
-    link_index: HashMap<Link, usize>,
+    /// `incident[offsets[q]..offsets[q + 1]]` holds `q`'s
+    /// `(neighbor, link id)` pairs, ascending by neighbor.
+    offsets: Vec<usize>,
+    incident: Vec<(PhysQubit, usize)>,
+    /// `ids[a·n + b]` is the id of link `a`–`b` plus one; 0 = uncoupled.
+    ids: Vec<u32>,
+    /// Built on first use of [`Topology::graph`].
+    graph: OnceLock<UnGraph<PhysQubit, ()>>,
 }
 
 impl Topology {
@@ -109,72 +130,114 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if a link references a qubit `>= num_qubits`, or if a link
-    /// is a self-loop.
+    /// Panics if `num_qubits` exceeds [`MAX_QUBITS`], if a link
+    /// references a qubit `>= num_qubits`, or if a link is a self-loop.
     pub fn from_links(
         name: impl Into<String>,
         num_qubits: usize,
         link_pairs: impl IntoIterator<Item = (u32, u32)>,
     ) -> Self {
-        let mut graph = UnGraph::new_undirected();
-        let nodes: Vec<NodeIndex> = (0..num_qubits)
-            .map(|i| graph.add_node(PhysQubit(i as u32)))
-            .collect();
+        let n = num_qubits;
+        assert!(
+            n <= MAX_QUBITS,
+            "{n} qubits exceed the {MAX_QUBITS}-qubit topology limit"
+        );
+        let mut ids = vec![0u32; n * n];
         let mut links = Vec::new();
-        let mut link_index = HashMap::new();
+        let mut offsets = vec![0usize; n + 1];
         for (a, b) in link_pairs {
             assert!(
-                (a as usize) < num_qubits && (b as usize) < num_qubits,
+                (a as usize) < n && (b as usize) < n,
                 "link ({a},{b}) out of range"
             );
             let link = Link::new(PhysQubit(a), PhysQubit(b));
-            if link_index.contains_key(&link) {
+            let (a, b) = (a as usize, b as usize);
+            if ids[a * n + b] != 0 {
                 continue;
             }
-            link_index.insert(link, links.len());
             links.push(link);
-            graph.add_edge(nodes[a as usize], nodes[b as usize], ());
+            let id = links.len() as u32; // stored plus one
+            ids[a * n + b] = id;
+            ids[b * n + a] = id;
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for q in 0..n {
+            offsets[q + 1] += offsets[q];
+        }
+        let mut fill = offsets.clone();
+        let mut incident = vec![(PhysQubit(0), 0); 2 * links.len()];
+        for (id, link) in links.iter().enumerate() {
+            let (a, b) = link.endpoints();
+            incident[fill[a.index()]] = (b, id);
+            fill[a.index()] += 1;
+            incident[fill[b.index()]] = (a, id);
+            fill[b.index()] += 1;
+        }
+        for q in 0..n {
+            incident[offsets[q]..offsets[q + 1]].sort_unstable_by_key(|&(nb, _)| nb);
         }
         Topology {
-            name: name.into(),
-            graph,
-            links,
-            link_index,
+            adj: Arc::new(Adjacency {
+                name: name.into(),
+                num_qubits: n,
+                links,
+                offsets,
+                incident,
+                ids,
+                graph: OnceLock::new(),
+            }),
         }
     }
 
     /// A human-readable name ("ibm-q20-tokyo", "linear-5", ...).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.adj.name
     }
 
     /// Number of physical qubits.
     pub fn num_qubits(&self) -> usize {
-        self.graph.node_count()
+        self.adj.num_qubits
     }
 
     /// Number of undirected coupling links.
     pub fn num_links(&self) -> usize {
-        self.links.len()
+        self.adj.links.len()
     }
 
     /// All links, in insertion order. The position of a link in this
     /// slice is its *link id*, used by calibration data.
     pub fn links(&self) -> &[Link] {
-        &self.links
+        &self.adj.links
     }
 
-    /// The id of a link (its index into [`Topology::links`]), if present.
+    /// The id of a link (its index into [`Topology::links`]), if
+    /// present. `None` for `a == b` and for out-of-range qubits.
     pub fn link_id(&self, a: PhysQubit, b: PhysQubit) -> Option<usize> {
-        if a == b {
+        let n = self.num_qubits();
+        if a.index() >= n || b.index() >= n {
             return None;
         }
-        self.link_index.get(&Link::new(a, b)).copied()
+        // the diagonal is never written, so `a == b` reads 0 = absent
+        self.adj.ids[a.index() * n + b.index()]
+            .checked_sub(1)
+            .map(|id| id as usize)
     }
 
     /// Whether qubits `a` and `b` are directly coupled.
     pub fn has_link(&self, a: PhysQubit, b: PhysQubit) -> bool {
         self.link_id(a, b).is_some()
+    }
+
+    /// The `(neighbor, link id)` pairs of `q`, ascending by neighbor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn incident(&self, q: PhysQubit) -> &[(PhysQubit, usize)] {
+        assert!(q.index() < self.num_qubits(), "{q} out of range");
+        let adj = &*self.adj;
+        &adj.incident[adj.offsets[q.index()]..adj.offsets[q.index() + 1]]
     }
 
     /// The neighbors of `q`, in ascending order.
@@ -183,19 +246,16 @@ impl Topology {
     ///
     /// Panics if `q` is out of range.
     pub fn neighbors(&self, q: PhysQubit) -> Vec<PhysQubit> {
-        assert!(q.index() < self.num_qubits(), "{q} out of range");
-        let mut out: Vec<PhysQubit> = self
-            .graph
-            .neighbors(NodeIndex::new(q.index()))
-            .map(|n| self.graph[n])
-            .collect();
-        out.sort_unstable();
-        out
+        self.incident(q).iter().map(|&(nb, _)| nb).collect()
     }
 
     /// The coupling degree of `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
     pub fn degree(&self, q: PhysQubit) -> usize {
-        self.graph.neighbors(NodeIndex::new(q.index())).count()
+        self.incident(q).len()
     }
 
     /// Whether every qubit can reach every other via coupling links.
@@ -204,16 +264,15 @@ impl Topology {
             return true;
         }
         let mut seen = vec![false; self.num_qubits()];
-        let mut stack = vec![0usize];
+        let mut stack = vec![PhysQubit(0)];
         seen[0] = true;
         let mut count = 1;
         while let Some(v) = stack.pop() {
-            for n in self.graph.neighbors(NodeIndex::new(v)) {
-                let i = n.index();
-                if !seen[i] {
-                    seen[i] = true;
+            for &(nb, _) in self.incident(v) {
+                if !seen[nb.index()] {
+                    seen[nb.index()] = true;
                     count += 1;
-                    stack.push(i);
+                    stack.push(nb);
                 }
             }
         }
@@ -225,10 +284,28 @@ impl Topology {
         (0..self.num_qubits()).map(|i| PhysQubit(i as u32))
     }
 
-    /// Access to the underlying petgraph graph (read-only), for callers
-    /// that need custom traversals.
+    /// The coupling graph as a petgraph graph (read-only), for callers
+    /// that need custom traversals: one node per qubit, one edge per
+    /// link in link-id order. Built on first call and kept.
     pub fn graph(&self) -> &UnGraph<PhysQubit, ()> {
-        &self.graph
+        self.adj.graph.get_or_init(|| {
+            let mut graph = UnGraph::new_undirected();
+            let nodes: Vec<NodeIndex> = self.qubits().map(|q| graph.add_node(q)).collect();
+            for link in self.links() {
+                graph.add_edge(nodes[link.low().index()], nodes[link.high().index()], ());
+            }
+            graph
+        })
+    }
+}
+
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("name", &self.adj.name)
+            .field("num_qubits", &self.adj.num_qubits)
+            .field("links", &self.adj.links)
+            .finish()
     }
 }
 
@@ -237,7 +314,7 @@ impl fmt::Display for Topology {
         write!(
             f,
             "{} ({} qubits, {} links)",
-            self.name,
+            self.name(),
             self.num_qubits(),
             self.num_links()
         )

@@ -10,7 +10,7 @@ use std::fmt;
 
 use quva::{AllocationStrategy, MappingPolicy, RoutingMetric};
 use quva_benchmarks::Benchmark;
-use quva_device::{CalibrationGenerator, Device, Topology, VariationProfile};
+use quva_device::{CalibrationGenerator, Device, Topology, VariationProfile, MAX_QUBITS};
 
 /// A device, policy, or benchmark spec string could not be understood.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,11 +38,12 @@ impl Error for SpecError {}
 /// * `melbourne` — IBM-Q16 with a seeded synthetic calibration;
 /// * `linear:N`, `ring:N`, `grid:RxC`, `heavyhex:RxC`, `full:N` —
 ///   generic layouts with a seeded synthetic calibration (append
-///   `@SEED` to change the seed, e.g. `grid:4x5@7`).
+///   `@SEED` to change the seed, e.g. `grid:4x5@7`). Each dimension
+///   is at most 1000, and a layout at most [`MAX_QUBITS`] qubits.
 ///
 /// # Errors
 ///
-/// Fails on unknown names or malformed dimensions.
+/// Fails on unknown names, malformed dimensions or oversized layouts.
 pub fn parse_device(spec: &str) -> Result<Device, SpecError> {
     match spec {
         "q20" | "ibm-q20" => return Ok(Device::ibm_q20()),
@@ -74,16 +75,12 @@ pub fn parse_device(spec: &str) -> Result<Device, SpecError> {
         "ring" => Topology::ring(parse_dim(spec, dims)?),
         "full" => Topology::fully_connected(parse_dim(spec, dims)?),
         "grid" => {
-            let (r, c) = dims
-                .split_once('x')
-                .ok_or_else(|| SpecError::new(format!("grid spec needs RxC, got '{spec}'")))?;
-            Topology::grid(parse_dim(spec, r)?, parse_dim(spec, c)?)
+            let (r, c) = parse_rows_cols(spec, dims, "grid")?;
+            Topology::grid(r, c)
         }
         "heavyhex" => {
-            let (r, c) = dims
-                .split_once('x')
-                .ok_or_else(|| SpecError::new(format!("heavyhex spec needs RxC, got '{spec}'")))?;
-            Topology::heavy_hex(parse_dim(spec, r)?, parse_dim(spec, c)?)
+            let (r, c) = parse_rows_cols(spec, dims, "heavyhex")?;
+            Topology::heavy_hex(r, c)
         }
         _ => {
             return Err(SpecError::new(format!(
@@ -104,6 +101,22 @@ fn parse_dim(spec: &str, text: &str) -> Result<usize, SpecError> {
         return Err(SpecError::new(format!("dimension {d} out of range in '{spec}'")));
     }
     Ok(d)
+}
+
+/// Parses the `RxC` of a 2-D layout spec; the product must fit a
+/// [`Topology`] ([`MAX_QUBITS`]).
+fn parse_rows_cols(spec: &str, dims: &str, kind: &str) -> Result<(usize, usize), SpecError> {
+    let (r, c) = dims
+        .split_once('x')
+        .ok_or_else(|| SpecError::new(format!("{kind} spec needs RxC, got '{spec}'")))?;
+    let (r, c) = (parse_dim(spec, r)?, parse_dim(spec, c)?);
+    if r * c > MAX_QUBITS {
+        return Err(SpecError::new(format!(
+            "{} qubits exceed the {MAX_QUBITS}-qubit device limit in '{spec}'",
+            r * c
+        )));
+    }
+    Ok((r, c))
 }
 
 /// Builds a mapping policy from a spec string: `baseline`, `vqm`,
@@ -226,6 +239,11 @@ mod tests {
         assert!(parse_device("mesh").is_err());
         assert!(parse_device("grid:3").is_err());
         assert!(parse_device("linear:0").is_err());
+        // past the dense link table's size limit: refused before any
+        // table is allocated
+        let err = parse_device("grid:1000x1000").unwrap_err().to_string();
+        assert!(err.contains("qubit device limit"), "{err}");
+        assert!(parse_device("heavyhex:100x41").is_err());
         assert!(parse_policy("qiskit").is_err());
         assert!(parse_policy("vqm-mah:x").is_err());
         assert!(parse_benchmark("shor:2048").is_err());
